@@ -51,6 +51,15 @@ func (c *chunkVol) avail(chunkSize uint64) uint32 {
 	}
 }
 
+// free reports whether the chunk can be carved: persistently free and
+// claimed by no in-flight transaction. A persistently free chunk may hold
+// live slot reservations (a run collapses when its last committed slot is
+// freed, whoever else holds a reservation in it); re-carving it would
+// hand those slots out twice.
+func (c *chunkVol) free() bool {
+	return c.entry.State == ChunkFree && !c.pendingSpan && c.pendingRun == 0 && len(c.reserved) == 0
+}
+
 func (c *chunkVol) slotSize() uint32 {
 	if c.pendingRun != 0 {
 		return c.pendingRun
@@ -290,8 +299,7 @@ func (a *Allocator) findFreeChunk(zs *zoneState, n uint64) (uint64, bool) {
 	total := uint64(len(zs.chunks))
 	run := uint64(0)
 	for c := zs.freeHint; c < total; c++ {
-		cv := &zs.chunks[c]
-		if cv.entry.State == ChunkFree && !cv.pendingSpan && cv.pendingRun == 0 {
+		if zs.chunks[c].free() {
 			run++
 			if run == n {
 				first := c - n + 1
@@ -307,8 +315,7 @@ func (a *Allocator) findFreeChunk(zs *zoneState, n uint64) (uint64, bool) {
 	// Retry from the beginning (hint may have skipped freed chunks).
 	run = 0
 	for c := uint64(0); c < zs.freeHint && c < total; c++ {
-		cv := &zs.chunks[c]
-		if cv.entry.State == ChunkFree && !cv.pendingSpan && cv.pendingRun == 0 {
+		if zs.chunks[c].free() {
 			run++
 			if run == n {
 				return c - n + 1, true

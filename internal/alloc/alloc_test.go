@@ -202,6 +202,58 @@ func TestReleaseAbandonsReservation(t *testing.T) {
 	}
 }
 
+// A run collapses to a free chunk when its last committed slot is freed,
+// even while another transaction holds a slot reservation in it. The chunk
+// must not be re-carved for another size class: the holder either commits
+// into it or abandons the reservation, which then frees the chunk.
+func TestCollapseUnderLiveReservation(t *testing.T) {
+	for _, abandon := range []bool{false, true} {
+		_, _, a := newHeap(t)
+		r1, ok := a.reserveSlot(0, 64)
+		if !ok {
+			t.Fatal("reserve r1")
+		}
+		if err := a.Apply(r1.Op, nil); err != nil {
+			t.Fatal(err)
+		}
+		r2, ok := a.reserveSlot(0, 64)
+		if !ok || r2.Op.Chunk != r1.Op.Chunk {
+			t.Fatalf("r2 = %+v, want a slot in chunk %d", r2.Op, r1.Op.Chunk)
+		}
+		op, err := a.StageFree(r1.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Apply(op, nil); err != nil {
+			t.Fatal(err)
+		}
+		r3, ok := a.reserveSlot(0, 128)
+		if !ok {
+			t.Fatal("reserve r3")
+		}
+		if r3.Op.Chunk == r2.Op.Chunk {
+			t.Fatalf("chunk %d re-carved for 128 B slots under a live 64 B reservation", r2.Op.Chunk)
+		}
+		if abandon {
+			a.Release(r2)
+			if !a.zones[0].chunks[r2.Op.Chunk].free() {
+				t.Fatal("abandoning the last reservation did not free the collapsed chunk")
+			}
+		} else {
+			if err := a.Apply(r2.Op, nil); err != nil {
+				t.Fatalf("committing into the collapsed run: %v", err)
+			}
+			if got, err := a.SlotSizeOf(r2.Base); err != nil || got != 64 {
+				t.Fatalf("SlotSizeOf(r2) = %d, %v; want 64", got, err)
+			}
+		}
+		a.Release(r3)
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestReservationsAreDisjoint(t *testing.T) {
 	_, _, a := newHeap(t)
 	r1, err := a.Reserve(100)
@@ -451,12 +503,14 @@ func TestConcurrentAllocFree(t *testing.T) {
 					if err != nil {
 						panic(err)
 					}
-					if err := a.Apply(op, nil); err != nil {
-						panic(err)
-					}
+					// Untrack before the free is applied: once it is,
+					// another worker may legitimately be handed base.
 					mu.Lock()
 					delete(addrs, base)
 					mu.Unlock()
+					if err := a.Apply(op, nil); err != nil {
+						panic(err)
+					}
 					continue
 				}
 				size := uint64(rng.Intn(400) + 30)

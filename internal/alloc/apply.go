@@ -168,12 +168,21 @@ func (a *Allocator) Apply(op Op, onRange RangeFn) error {
 		if err := refresh(op.Chunk); err != nil {
 			return err
 		}
-		if cv.entry.State == ChunkFree {
+		switch {
+		case cv.entry.State == ChunkFree && len(cv.reserved) > 0:
+			// The run collapsed under live reservations: it lives on
+			// as a pending run of the same slot size, so the holders
+			// can still commit into it (the first commit
+			// re-materializes it) and Release returns it to free
+			// once the last reservation is abandoned.
+			cv.pendingRun = op.SlotSize
+			addClassRun(zs, op.SlotSize, op.Chunk)
+		case cv.entry.State == ChunkFree:
 			delete(zs.classRuns[op.SlotSize], op.Chunk)
 			if op.Chunk < zs.freeHint {
 				zs.freeHint = op.Chunk
 			}
-		} else if cv.avail(a.geo.ChunkSize) > 0 {
+		case cv.avail(a.geo.ChunkSize) > 0:
 			addClassRun(zs, op.SlotSize, op.Chunk)
 		}
 	case OpAllocChunks, OpFreeChunks:

@@ -198,6 +198,9 @@ func (tx *Tx) gatherWork() []*mbuf.Buf {
 }
 
 // collectRanges materializes every modified range with its old NVMM bytes.
+// It emits one applyRange per mbuf range, buffer by buffer in work order,
+// so each buffer's ranges form one contiguous run of the result, of
+// length len(b.Ranges()); refreshChecksums relies on that.
 func (tx *Tx) collectRanges(work []*mbuf.Buf) ([]applyRange, error) {
 	e := tx.e
 	var out []applyRange
@@ -243,23 +246,25 @@ func (tx *Tx) collectRanges(work []*mbuf.Buf) ([]applyRange, error) {
 // refreshChecksums updates each modified buffer's stored checksum
 // incrementally from its modified ranges (§3.5: cost proportional to the
 // modified size, not the object size), then adds the checksum field itself
-// as a modified range.
+// as a modified range. Each buffer folds only its own run of ranges (see
+// collectRanges), so the whole refresh is O(ranges + buffers) — not
+// O(buffers × ranges), which a commit re-linking thousands of objects
+// would pay quadratically.
 func (tx *Tx) refreshChecksums(work []*mbuf.Buf, ranges *[]applyRange) error {
+	rest := *ranges // data ranges only: the appends below land past its length
 	for _, b := range work {
+		mine := rest[:len(b.Ranges())]
+		rest = rest[len(mine):]
 		img := b.Image()
 		var newSum uint32
 		if b.Flags&mbuf.FlagAllocated != 0 {
 			newSum = layout.ObjChecksum(img)
 		} else {
-			sum := b.OrigCsum
+			newSum = b.OrigCsum
 			base := b.OID.HeaderOff()
-			for _, ar := range *ranges {
-				if ar.off < base || ar.off >= base+b.Size() {
-					continue
-				}
-				sum = csum.Update(sum, b.Size(), ar.off-base, ar.old, ar.new)
+			for _, ar := range mine {
+				newSum = csum.Update(newSum, b.Size(), ar.off-base, ar.old, ar.new)
 			}
-			newSum = sum
 		}
 		hdr := b.Header()
 		hdr.Csum = newSum

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/pangolin-go/pangolin/internal/layout"
+	"github.com/pangolin-go/pangolin/internal/mbuf"
 	"github.com/pangolin-go/pangolin/internal/nvm"
 )
 
@@ -65,21 +66,34 @@ func (e *Engine) readHeaderChecked(oid layout.OID, repair bool) (layout.ObjHeade
 	}
 }
 
-// readImage reads an object's full image (header + data), optionally
-// verifying the checksum, with online recovery on faults (§3.3, §3.6).
-func (e *Engine) readImage(oid layout.OID, verify bool) ([]byte, layout.ObjHeader, error) {
+// readBuf reads an object's full image (header + data) straight into a
+// fresh micro-buffer, optionally verifying the checksum there, with online
+// recovery on faults (§3.3, §3.6). The image is copied out of NVMM exactly
+// once: verification runs on the buffer's own bytes, and a fault-repair
+// retry re-reads into the same buffer (a new one only if the repaired
+// header names a different size). OrigCsum is set from the header the
+// image was read under.
+//
+// The buffer is always freshly allocated — never recycled across
+// transactions — since a caller may still hold a slice of an earlier
+// buffer past its commit.
+func (e *Engine) readBuf(oid layout.OID, verify bool) (*mbuf.Buf, error) {
+	var b *mbuf.Buf
 	for attempt := 0; ; attempt++ {
 		hdr, err := e.readHeaderChecked(oid, true)
 		if err != nil {
-			return nil, layout.ObjHeader{}, err
+			return nil, err
 		}
-		img := make([]byte, hdr.Size)
+		if b == nil || b.Size() != hdr.Size {
+			b = mbuf.New(oid, hdr.Size, e.canary)
+		}
+		img := b.Image()
 		if err := e.dev.ReadAt(img, oid.HeaderOff()); err != nil {
 			if attempt >= 2 {
-				return nil, layout.ObjHeader{}, err
+				return nil, err
 			}
 			if rerr := e.faultRepair(oid.HeaderOff(), hdr.Size, err); rerr != nil {
-				return nil, layout.ObjHeader{}, rerr
+				return nil, rerr
 			}
 			continue
 		}
@@ -88,10 +102,10 @@ func (e *Engine) readImage(oid layout.OID, verify bool) ([]byte, layout.ObjHeade
 				cerr := &CorruptionError{OID: oid,
 					Reason: fmt.Sprintf("checksum %#x, stored %#x", got, hdr.Csum)}
 				if attempt >= 2 {
-					return nil, layout.ObjHeader{}, cerr
+					return nil, cerr
 				}
 				if rerr := e.faultRepair(oid.HeaderOff(), hdr.Size, cerr); rerr != nil {
-					return nil, layout.ObjHeader{}, rerr
+					return nil, rerr
 				}
 				continue
 			}
@@ -99,7 +113,8 @@ func (e *Engine) readImage(oid layout.OID, verify bool) ([]byte, layout.ObjHeade
 		} else {
 			e.stats.UnverifiedBytes.Add(hdr.UserSize())
 		}
-		return img, hdr, nil
+		b.OrigCsum = hdr.Csum
+		return b, nil
 	}
 }
 
@@ -113,12 +128,12 @@ func (e *Engine) Get(oid layout.OID) ([]byte, error) {
 	}
 	verify := e.opts.Policy == VerifyConservative && e.mode.Checksums()
 	if verify {
-		img, hdr, err := e.readImage(oid, true)
+		b, err := e.readBuf(oid, true)
 		if err != nil {
 			return nil, err
 		}
-		_ = img // verification pass reads a copy; hand out the live bytes
-		return e.dev.Slice(oid.Off, hdr.UserSize()), nil
+		// The verification pass reads a copy; hand out the live bytes.
+		return e.dev.Slice(oid.Off, b.Size()-layout.ObjHeaderSize), nil
 	}
 	hdr, err := e.readHeaderChecked(oid, true)
 	if err != nil {
@@ -191,7 +206,7 @@ func (e *Engine) GetRO(oid layout.OID, skipVerify bool) ([]byte, error) {
 	if e.mode.Checksums() && !skipVerify && hdr.Size <= e.opts.roVerifyLimit() {
 		// Checksum the live bytes in place: the caller excludes commits
 		// and the commit gate excludes repairs, so the range is stable —
-		// no image copy needed (the repairing readImage must copy
+		// no image copy needed (the repairing readBuf must copy
 		// because it may retry; this path fails fast instead).
 		if got := layout.ObjChecksum(e.dev.Slice(oid.HeaderOff(), hdr.Size)); got != hdr.Csum {
 			return nil, &CorruptionError{OID: oid,
@@ -229,7 +244,7 @@ func (e *Engine) CheckObject(oid layout.OID) error {
 	if !e.mode.Checksums() {
 		return fmt.Errorf("core: mode %v maintains no object checksums", e.mode)
 	}
-	_, _, err := e.readImage(oid, true)
+	_, err := e.readBuf(oid, true)
 	return err
 }
 

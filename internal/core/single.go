@@ -19,13 +19,10 @@ func (e *Engine) OpenSingle(oid layout.OID) (*mbuf.Buf, error) {
 	if !e.mode.MicroBuffered() {
 		return nil, fmt.Errorf("core: OpenSingle requires a micro-buffered mode, not %v", e.mode)
 	}
-	img, hdr, err := e.readImage(oid, e.mode.Checksums())
+	b, err := e.readBuf(oid, e.mode.Checksums())
 	if err != nil {
 		return nil, err
 	}
-	b := mbuf.New(oid, hdr.Size, e.canary)
-	copy(b.Image(), img)
-	b.OrigCsum = hdr.Csum
 	e.stats.mbufAdd(int64(b.Footprint()))
 	return b, nil
 }

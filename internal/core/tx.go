@@ -267,19 +267,18 @@ func (tx *Tx) Open(oid layout.OID) ([]byte, error) {
 	return tx.openDirect(oid)
 }
 
-// openBuf creates or fetches the micro-buffer for oid (§3.2).
+// openBuf creates or fetches the micro-buffer for oid (§3.2). A first
+// open reads the object once, straight into the new buffer, and verifies
+// it there (readBuf): no intermediate image.
 func (tx *Tx) openBuf(oid layout.OID) (*mbuf.Buf, error) {
 	if b, ok := tx.bufs.Lookup(oid); ok {
 		return b, nil
 	}
 	verify := tx.e.mode.Checksums() // both Default and Conservative verify at open
-	img, hdr, err := tx.e.readImage(oid, verify)
+	b, err := tx.e.readBuf(oid, verify)
 	if err != nil {
 		return nil, err
 	}
-	b := mbuf.New(oid, hdr.Size, tx.e.canary)
-	copy(b.Image(), img)
-	b.OrigCsum = hdr.Csum
 	tx.bufs.Insert(b)
 	tx.e.stats.mbufAdd(int64(b.Footprint()))
 	tx.statObjs[oid.Off] = true

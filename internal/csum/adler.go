@@ -92,8 +92,13 @@ func Continue(sum uint32, data []byte) uint32 {
 //	a = 1 + Σ d_i            (mod 65521)
 //	b = n + Σ (n-i)·d_i      (mod 65521)
 //
-// so replacing d_j..d_{j+m-1} shifts a by Σ(new-old) and b by
-// Σ (n-i)·(new_i-old_i), all mod 65521.
+// so replacing the m bytes d_j..d_{j+m-1} shifts a by ΔA = Σ(new-old) and
+// b by Σ (n-i)·(new_i-old_i). Splitting each weight n-i into t + (m-k),
+// where t = n-j-m counts the bytes after the range and k is the index
+// within it, gives Δb = t·ΔA + ΔB, with ΔB the shift in Σ (m-k)·d_k. A and
+// B of a range are exactly the (a, b) state Continue reaches from zero, so
+// both sides of the range run through the unrolled summing kernel, which
+// reduces once per nmax bytes, and only a few reductions remain per call.
 func Update(sum uint32, total uint64, off uint64, old, new_ []byte) uint32 {
 	if len(old) != len(new_) {
 		panic("csum: Update requires equal-length old and new ranges")
@@ -101,20 +106,11 @@ func Update(sum uint32, total uint64, off uint64, old, new_ []byte) uint32 {
 	if off+uint64(len(old)) > total {
 		panic("csum: Update range exceeds buffer length")
 	}
-	n := total % adlerMod
-	var da, db uint64 // accumulated shifts; each term < 65521², reduce rarely
-	for i := range old {
-		idx := (off + uint64(i)) % adlerMod
-		w := (n + adlerMod - idx) % adlerMod
-		diff := (uint64(new_[i]) + adlerMod - uint64(old[i])) % adlerMod
-		da += diff
-		db += w * diff
-		if i&0xFFFFFFF == 0xFFFFFFF { // guard against (absurdly) long ranges
-			da %= adlerMod
-			db %= adlerMod
-		}
-	}
+	so, sn := Continue(0, old), Continue(0, new_)
+	da := uint64(sn&0xffff) + adlerMod - uint64(so&0xffff)
+	db := uint64(sn>>16) + adlerMod - uint64(so>>16)
+	t := (total - off - uint64(len(old))) % adlerMod
 	a := (uint64(sum&0xffff) + da) % adlerMod
-	b := (uint64(sum>>16) + db) % adlerMod
+	b := (uint64(sum>>16) + t*da + db) % adlerMod
 	return uint32(b)<<16 | uint32(a)
 }

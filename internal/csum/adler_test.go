@@ -123,6 +123,53 @@ func TestUpdateComposes(t *testing.T) {
 	}
 }
 
+// Update must match a full recompute when the buffer length, the range's
+// offsets and its weights pass the modulus: totals above 65521, ranges
+// that straddle a multiple of 65521 counted from the start (byte index)
+// or from the end (weight n-i), and ranges longer than the summing
+// kernel's reduction block.
+func TestUpdateRandomizedAcrossModulus(t *testing.T) {
+	const maxTotal = 4*adlerMod + 1000
+	rng := rand.New(rand.NewSource(65521))
+	base := make([]byte, maxTotal)
+	rng.Read(base)
+	for i := 0; i < 3000; i++ {
+		var total int
+		switch i % 3 {
+		case 0:
+			total = rng.Intn(8192) + 1
+		case 1:
+			total = adlerMod + rng.Intn(3*adlerMod)
+		default:
+			total = (rng.Intn(4)+1)*adlerMod + rng.Intn(5) - 2
+		}
+		buf := base[:total]
+		var off, m int
+		switch rng.Intn(4) {
+		case 0: // anywhere
+			off = rng.Intn(total)
+			m = rng.Intn(min(total-off, 3*nmax) + 1)
+		case 1, 2: // straddle a multiple of 65521 by index or by weight
+			k := adlerMod * (rng.Intn(total/adlerMod+1) + 1)
+			cross := k % total
+			if rng.Intn(2) == 0 {
+				cross = total - cross
+			}
+			off = max(0, cross-rng.Intn(64)-1)
+			m = min(total-off, cross-off+rng.Intn(64)+1)
+		default: // long range
+			off = rng.Intn(total/4 + 1)
+			m = rng.Intn(total - off + 1)
+		}
+		mod := append([]byte(nil), buf...)
+		rng.Read(mod[off : off+m])
+		got := Update(Adler32(buf), uint64(total), uint64(off), buf[off:off+m], mod[off:off+m])
+		if want := Adler32(mod); got != want {
+			t.Fatalf("case %d: total %d off %d len %d: Update = %#x, recompute = %#x", i, total, off, m, got, want)
+		}
+	}
+}
+
 func TestUpdateLargeBufferSmallRange(t *testing.T) {
 	// The whole point: a small edit in a large object must not require
 	// rescanning the object. Verify correctness at a size where it

@@ -216,6 +216,7 @@ type worker struct {
 	commitWaits                         uint64     // adaptive-commit windows taken
 	scans, scanPairs                    uint64     // worker-path scan chunks
 	scratch                             []request  // loop-local drain buffer
+	resps                               []response // runGroup's answers, delivered after the gate is released
 	opsBuf                              []store.Op // flattenGroup scratch, reused per group
 	oneReq                              [1]request // single-request flatten scratch
 	oneOp                               [1]store.Op
@@ -720,8 +721,14 @@ func (w *worker) loop() {
 			}
 		}
 		w.gate.Lock()
-		w.runGroup(group)
+		resps := w.runGroup(w.resps[:0], group)
 		w.gate.Unlock()
+		// Answer only once the gate is free, so a waiter that follows
+		// its reply with a fast-path read is not bounced by this group.
+		for i := range group {
+			group[i].deliver(resps[i])
+		}
+		w.resps = resps[:0]
 		w.ewma = 0.75*w.ewma + 0.25*float64(n)
 		w.scratch = group[:0]
 		if hasBarrier {
@@ -853,11 +860,12 @@ func flattenGroup(ops []store.Op, group []request) ([]store.Op, error) {
 	return ops, nil
 }
 
-// runGroup executes a group of data requests. Groups with at least one
-// mutation and more than one op run as a single atomic store.Apply
-// batch; read-only or single-op groups take the plain per-op path (GETs
-// need no transaction at all).
-func (w *worker) runGroup(group []request) {
+// runGroup executes a group of data requests and appends their
+// responses to resps in group order, for the caller to deliver. Groups
+// with at least one mutation and more than one op run as a single atomic
+// store.Apply batch; read-only or single-op groups take the plain per-op
+// path (GETs need no transaction at all).
+func (w *worker) runGroup(resps []response, group []request) []response {
 	// A batch request larger than the group window arrives alone in its
 	// group (opCount(req) ≥ maxBatch keeps the drain from adding to it):
 	// execute it in window-sized batch chunks and merge the per-op
@@ -873,8 +881,8 @@ func (w *worker) runGroup(group []request) {
 			out = append(out, br...)
 			putBatchResults(br) // copied above; the chunk slice is free
 		}
-		req.deliver(response{batch: out})
-		return
+		resps = append(resps, response{batch: out})
+		return resps
 	}
 	muts, total := 0, 0
 	for _, r := range group {
@@ -892,9 +900,9 @@ func (w *worker) runGroup(group []request) {
 	}
 	if muts == 0 || total <= 1 {
 		for _, r := range group {
-			r.deliver(w.handle(r))
+			resps = append(resps, w.handle(r))
 		}
-		return
+		return resps
 	}
 	ops, err := flattenGroup(w.opsBuf[:0], group)
 	var results []store.Result
@@ -931,17 +939,18 @@ func (w *worker) runGroup(group []request) {
 				resp = response{batch: br}
 			}
 			w.countGroup(r, resp)
-			r.deliver(resp)
+			resps = append(resps, resp)
 		}
-		return
+		return resps
 	}
 	// The group's batch aborted (nothing was applied). Retry each
 	// request on its own so one bad op can't poison its batchmates; each
 	// waiter gets its op's own verdict.
 	w.groupFallbacks++
 	for _, r := range group {
-		r.deliver(w.handle(r))
+		resps = append(resps, w.handle(r))
 	}
+	return resps
 }
 
 // execBatchChunk runs one window-sized slice of an oversized batch as a

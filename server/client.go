@@ -339,8 +339,12 @@ func (c *Client) submit(ctx context.Context, req Request) *clientOp {
 	} else {
 		c.fifo = append(c.fifo, op)
 	}
+	// Enqueue under the lock that assigned the op its place, so the wire
+	// order is the registration order: v1 matches replies by that order
+	// alone. The send cannot block: sendq capacity == window, and the op
+	// holds a slot.
+	c.sendq <- op
 	c.mu.Unlock()
-	c.sendq <- op // cannot block: sendq capacity == window, op holds a slot
 	return op
 }
 
