@@ -93,10 +93,9 @@
 // images taken at different moments — a pair committed behind the
 // cursor after its chunk ran is missed, and a pair committed ahead of
 // the cursor appears. When the whole scan must observe exactly one
-// committed state while writes proceed, use SNAPSCAN (or BACKUP for a
-// full-pool stream): it pins a generation per shard at open and every
-// page resolves at those generations — see "Snapshots and backup"
-// below.
+// committed state while writes proceed, use SNAPSCAN: it pins a
+// generation per shard at open and every page resolves at those
+// generations — see "Snapshots and backup" below.
 //
 // A SCAN request carries lo, hi, limit, cursor; the scan starts at
 // max(lo, cursor) — pass cursor 0 to start a fresh scan — and returns
@@ -120,18 +119,18 @@
 //
 // # Snapshots and backup
 //
-// SNAPSCAN (op 14) and BACKUP (op 15) read one committed state of the
-// whole set while group commits proceed. Opening a snapshot pins every
-// shard's current committed generation — each pin is serialized onto
-// its shard's worker, so it lands between group commits, never inside
-// one — and the pins together form the set-level snapshot vector. From
+// SNAPSCAN (op 14) reads one committed state of the whole set while
+// group commits proceed. Opening a snapshot pins every shard's current
+// committed generation — each pin is serialized onto its shard's
+// worker, so it lands between group commits, never inside one — and the pins together form the set-level snapshot vector. From
 // then on the shard's engine preserves the pre-image of every object a
 // commit overwrites in a bounded per-shard version buffer, and every
 // snapshot read resolves at exactly the pinned generation: superseded
 // versions win over live bytes, keys inserted after the pin are masked
-// out, keys deleted after the pin are restored. A paginated SNAPSCAN or
-// a BACKUP stream therefore sees one state end to end, no matter how
-// many commits land while it pages.
+// out, keys deleted after the pin are restored. A paginated SNAPSCAN
+// therefore sees one state end to end, no matter how many commits land
+// while it pages. Backup is a SNAPSCAN client: it pages the whole key
+// range, MaxScanPairs pairs at a time, on a connection of its own.
 //
 // The contract's edges are typed, never silent:
 //
@@ -140,8 +139,8 @@
 //     connection releases whatever is still open — an abandoned scan
 //     cannot leak pins past its connection. A connection holds at most
 //     MaxConnSnapshots (4) snapshots at once; further opens are
-//     refused until one finishes. BACKUP owns its snapshot internally
-//     and releases it when the stream ends, either way.
+//     refused until one finishes. Backup closes its connection when it
+//     returns, so its pins fall with it.
 //   - Bounded retention. Preserved versions cost memory on the write
 //     path, so each shard caps them (store.DefaultMaxPins distinct
 //     pinned generations, store.DefaultMaxVersions preserved
@@ -169,7 +168,7 @@
 // snapshot reads per shard, and the gauges snapshot_pins and
 // versions_retained expose the live cost of open pins, so an operator
 // can see a leaked or long-lived snapshot as a versions_retained
-// plateau. scripts/loadtest.sh gates on the whole path: a BACKUP taken
+// plateau. scripts/loadtest.sh gates on the whole path: a Backup taken
 // under sustained writes is restored into a fresh set and must pass
 // `pglpool check`.
 //
@@ -256,24 +255,20 @@
 // # Wire protocol
 //
 // The protocol is length-prefixed binary over TCP. Every message is one
-// frame, and two payload layouts exist, negotiated per connection by
-// the first frame:
+// frame:
 //
-//	frame       := length(uint32 BE) payload       length excludes itself
-//	v1 request  := op(1 B) field*                  field = uint64 BE
-//	v1 response := status(1 B) body*               in request order
-//	v2 request  := seq(uint64 BE) op(1 B) field*   client-chosen sequence
-//	v2 response := seq(uint64 BE) status(1 B) body*  any order
+//	frame    := length(uint32 BE) payload        length excludes itself
+//	request  := seq(uint64 BE) op(1 B) field*     field = uint64 BE
+//	response := seq(uint64 BE) status(1 B) body*  any order
 //
-// A connection whose first frame is HELLO (op 13) carrying HelloMagic
-// speaks v2 — the pipelined protocol, below — from the next frame on.
-// Any other first frame selects v1, the original one-op-per-frame
-// in-order protocol, kept as the degenerate case so old clients work
-// unchanged against new servers. (The magic guard means a v1 request
-// that happens to carry opcode 13 is answered with ERR, never silently
-// promoted.)
+// A connection opens with an unsequenced HELLO (op 13) carrying
+// HelloMagic, answered by an unsequenced response; every later frame
+// carries the client-chosen sequence number (the pipelined protocol,
+// below). Any other first frame — including an op-13 frame without the
+// magic — is answered with one unsequenced ERR and the connection is
+// closed.
 //
-// Requests (field layout after the opcode byte):
+// Requests (fields after the op byte; len is their byte length):
 //
 //	GET   (1)  key                 value lookup
 //	PUT   (2)  key value           insert or update
@@ -281,21 +276,19 @@
 //	STATS (4)  —                   per-shard and aggregate counters
 //	SYNC  (5)  —                   save all shard snapshots
 //	CRASH (6)  seed                simulate machine power failure
-//	MGET  (7)  key*                batch lookup, N = (len-1)/8 ops
-//	MPUT  (8)  (key value)*        batch insert/update, N = (len-1)/16 ops
-//	MDEL  (9)  key*                batch delete, N = (len-1)/8 ops
+//	MGET  (7)  key*                batch lookup, N = len/8 ops
+//	MPUT  (8)  (key value)*        batch insert/update, N = len/16 ops
+//	MDEL  (9)  key*                batch delete, N = len/8 ops
 //	SCAN  (10) lo hi limit cursor  ordered range scan from max(lo, cursor)
 //	SCRUB (11) mode                mode 0: scrub health; mode 1: run a full
 //	                               pass (incremental, traffic interleaved)
 //	INJECT(12) seed count          corrupt count random live objects
 //	                               (fault-injection test hook, like CRASH)
-//	HELLO (13) magic version window  first frame only: negotiate v2 with a
+//	HELLO (13) magic version window  first frame only: negotiate with a
 //	                               requested in-flight window (0 = default)
 //	SNAPSCAN (14) lo hi limit cursor snapid  snapshot-consistent scan page;
 //	                               snapid 0 + cursor 0 opens a snapshot,
 //	                               later pages carry the returned snapid
-//	BACKUP (15) —                  v1 only: stream every pair of one
-//	                               pinned snapshot as multiple frames
 //
 // Batch ops carry no explicit count — the frame length delimits them — but
 // the payload must be a whole number of ops, at least 1 and at most
@@ -303,7 +296,7 @@
 // window (shard.Options.MaxBatch, default 64) still executes, split into
 // several transactions per shard.
 //
-// Responses:
+// Responses (body after the status byte; len is its byte length):
 //
 //	OK        (0)  GET → value(uint64 BE); STATS → JSON (shard.Stats);
 //	               PUT, DEL, SYNC, CRASH → empty;
@@ -312,26 +305,22 @@
 //	               SCAN → more(1 B) next-cursor(uint64 BE)
 //	                      (key(uint64 BE) value(uint64 BE))*,
 //	               at most MaxScanPairs pairs per frame, ascending,
-//	               N = (len-10)/16;
+//	               N = (len-9)/16;
 //	               SCRUB → JSON (server.ScrubStatus);
 //	               INJECT → injected(uint64 BE) capable-shards(uint64 BE)
 //	                        total-shards(uint64 BE);
 //	               SNAPSCAN → snapid(uint64 BE) more(1 B)
 //	                          next-cursor(uint64 BE)
 //	                          (key(uint64 BE) value(uint64 BE))*,
-//	                          the terminal page (more 0) releases the
-//	                          snapshot;
-//	               BACKUP → a SEQUENCE of frames, each
-//	                        status(1 B) more(1 B)
-//	                        (key(uint64 BE) value(uint64 BE))*,
-//	                        ending with more 0 (or a non-OK status frame)
+//	                          N = (len-17)/16; the terminal page
+//	                          (more 0) releases the snapshot
 //	NOT_FOUND (1)  GET or DEL of an absent key; empty body
 //	ERR       (2)  body is a UTF-8 error message
-//	CORRUPT   (3)  v2 only: the op failed on detected, unrepaired
-//	               corruption (pangolin.IsCorruption server-side)
-//	POISON    (4)  v2 only: the op failed on a media error
+//	CORRUPT   (3)  the op failed on detected, unrepaired corruption
+//	               (pangolin.IsCorruption server-side)
+//	POISON    (4)  the op failed on a media error
 //	               (pangolin.IsPoison server-side)
-//	SHUTDOWN  (5)  v2 only: the shard set is shutting down
+//	SHUTDOWN  (5)  the shard set is shutting down
 //	SNAP_TOO_OLD     (6)  the snapshot's pinned generation was evicted
 //	                      or released (ErrSnapshotTooOld)
 //	SNAP_UNSUPPORTED (7)  a shard backend lacks the snapshot capability
@@ -339,15 +328,11 @@
 //	CURSOR_MODE      (8)  cursor presented to the wrong scan mode
 //	                      (ErrCursorMode)
 //
-// v1 connections collapse every failure to ERR — the statuses old
-// clients understand — while v2 classifies them so the client rebuilds
-// the in-process error taxonomy across the network: errors.Is(err,
-// ErrShuttingDown), pangolin.IsCorruption(err), and
-// pangolin.IsPoison(err) hold on a Client exactly as they would
-// in-process. The snapshot statuses (6-8) belong to ops newer than the
-// version split, so they are used on BOTH protocol versions — there is
-// no older client to protect. The body is a UTF-8 message for every
-// status >= ERR.
+// Failures are classified so the client rebuilds the in-process error
+// taxonomy across the network: errors.Is(err, ErrShuttingDown),
+// pangolin.IsCorruption(err), and pangolin.IsPoison(err) hold on a
+// Client exactly as they would in-process. The body is a UTF-8 message
+// for every status >= ERR.
 //
 // Batch responses answer every op: records are in request order, one per
 // op, each carrying a per-op status — 0 (OK), 1 (not found: MGET/MDEL of
@@ -357,29 +342,25 @@
 // malformed batch (ragged payload, zero ops, > MaxBatchOps) is rejected
 // whole with ERR.
 //
-// Requests on a v1 connection are answered in order; concurrency comes
-// from concurrent connections, which matches the original closed-loop
-// client model (one in-flight request per connection).
-//
 // Frames are capped at 1 MB (MaxFrame); a larger length prefix is treated
 // as a corrupt stream and the connection is dropped.
 //
-// # Pipelining (protocol v2)
+// # Pipelining
 //
 // One in-flight request per connection caps a connection's throughput
 // at the network round trip, and — worse for this design — it keeps
 // the shard workers' queues shallow, so the group commit has nothing
 // to group: the per-fence amortization the workers were built for
-// needs a standing supply of queued operations. Protocol v2 exists to
-// keep that supply full from a single connection.
+// needs a standing supply of queued operations. The sequenced protocol
+// exists to keep that supply full from a single connection.
 //
-// After the HELLO handshake (the reply to a HELLO is a v1-framed OK
+// After the HELLO handshake (the reply to a HELLO is an unsequenced OK
 // whose body is version(uint64 BE) window(uint64 BE) — the negotiated
 // protocol and the granted in-flight window, min(requested, MaxWindow),
 // DefaultWindow when 0 is requested), every request carries a
 // client-chosen 8-byte sequence number and every response echoes one.
 // Replies arrive in completion order, not request order; the sequence
-// number is the only correlation. The server splits each v2 connection
+// number is the only correlation. The server splits each connection
 // into independent stages:
 //
 //   - a reader goroutine decodes frames and dispatches them: PUT and
@@ -390,8 +371,7 @@
 //     concurrent verified-read fast path inline, falling back to the
 //     worker queue; the multi-shard verbs (batches, SCAN, SNAPSCAN,
 //     STATS, SYNC, SCRUB, INJECT, CRASH) each run on their own bounded
-//     goroutine (BACKUP streams multiple frames, which one-reply-per-
-//     sequence cannot carry, so it remains v1-only);
+//     goroutine;
 //   - a writer goroutine streams completed replies to the wire in
 //     completion order, flushing when the queue goes empty, so replies
 //     coalesce into few syscalls under load.
@@ -413,11 +393,11 @@
 // operation's effect is visible to everything submitted after its reply
 // resolves; pipeline only independent operations, and sequence a
 // dependent one by waiting on its predecessor's reply (or future)
-// first. v1 connections keep strict request-order execution.
+// first.
 //
 // # Buffer ownership
 //
-// Every hot-path wire buffer — v2 completion frames on the server,
+// Every hot-path wire buffer — completion frames on the server,
 // request frames on the client — comes from one sync.Pool of frame
 // buffers (pool.go), laid out as [4-byte length][payload] so header and
 // payload leave in a single write. Recycling only works because frame
@@ -472,9 +452,7 @@
 //
 // # Client
 //
-// Dial(ctx, addr, opts...) returns a pipelined Client speaking v2 (or
-// v1 under WithProtocolV1 — same machinery, FIFO reply matching, since
-// v1 replies are in order). A Client is safe for concurrent use by any
+// Dial(ctx, addr, opts...) returns a pipelined Client. A Client is safe for concurrent use by any
 // number of goroutines and is designed to be shared: concurrent calls
 // interleave on the one connection's window, which is exactly what
 // keeps server-side group commits deep. The synchronous methods (Get,

@@ -62,9 +62,7 @@ func (e *remoteError) Error() string { return e.msg }
 
 func (e *remoteError) Unwrap() error { return e.cause }
 
-// errStatus classifies a server-side error as a v2 wire status. v1
-// connections never use it — they collapse every failure to StatusErr,
-// which v1 clients understand.
+// errStatus classifies a server-side error as a wire status.
 func errStatus(err error) uint8 {
 	switch {
 	case errors.Is(err, shard.ErrShuttingDown):

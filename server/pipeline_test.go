@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -145,8 +146,8 @@ func TestHelloNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ProtocolVersion() != ProtocolV2 || c.Window() != DefaultWindow {
-		t.Fatalf("default dial: version %d window %d", c.ProtocolVersion(), c.Window())
+	if c.Window() != DefaultWindow {
+		t.Fatalf("default dial: window %d", c.Window())
 	}
 	c.Close()
 
@@ -187,117 +188,33 @@ func TestHelloNegotiation(t *testing.T) {
 	}
 }
 
-// TestOpcode13WithoutMagicStaysV1: a first frame carrying the HELLO
-// opcode but not the magic must not hijack the connection into v2 — it
-// is answered as a (failed) v1 request and the connection keeps
-// speaking v1.
-func TestOpcode13WithoutMagicStaysV1(t *testing.T) {
+// TestFirstFrameMustBeHello: a connection whose first frame is not a
+// HELLO — an opcode-13 frame without the magic, or a plain request — is
+// answered with exactly one ERR frame and then closed.
+func TestFirstFrameMustBeHello(t *testing.T) {
 	_, addr := startServer(t, t.TempDir(), 2)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
 	notHello, _ := EncodeRequest(nil, Request{Op: OpHello, Key: 999, Val: ProtocolV2})
-	if err := WriteFrame(conn, notHello); err != nil {
-		t.Fatal(err)
-	}
-	p, err := ReadFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, _, _ := DecodeResponse(p); status != StatusErr {
-		t.Fatalf("magicless opcode 13 answered with status %d, want StatusErr", status)
-	}
-	// Still v1: a plain request gets a plain in-order reply.
-	put, _ := EncodeRequest(nil, Request{Op: OpPut, Key: 6, Val: 60})
-	if err := WriteFrame(conn, put); err != nil {
-		t.Fatal(err)
-	}
-	if p, err = ReadFrame(br, nil); err != nil {
-		t.Fatal(err)
-	}
-	if status, _, _ := DecodeResponse(p); status != StatusOK {
-		t.Fatalf("v1 PUT after magicless 13: status %d", status)
-	}
-}
-
-// TestV1ClientAgainstV2Server: the compatibility path end to end — a
-// WithProtocolV1 client (seqless frames, FIFO reply matching) drives a
-// current server through the full verb surface, including concurrent
-// pipelined use of one connection.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	_, addr := startServer(t, t.TempDir(), 2)
-	c, err := Dial(t.Context(), addr, WithProtocolV1(), WithPipelineDepth(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.ProtocolVersion() != 1 {
-		t.Fatalf("ProtocolVersion = %d, want 1", c.ProtocolVersion())
-	}
-	if err := c.Put(5, 50); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := c.Get(5); err != nil || !ok || v != 50 {
-		t.Fatalf("get 5 = (%d,%v,%v)", v, ok, err)
-	}
-	if _, ok, err := c.Get(99); err != nil || ok {
-		t.Fatalf("get absent = (%v,%v)", ok, err)
-	}
-	if err := c.MPut([]uint64{10, 11, 12}, []uint64{100, 110, 120}); err != nil {
-		t.Fatal(err)
-	}
-	if vals, found, err := c.MGet([]uint64{10, 11, 99}); err != nil || !found[0] || vals[1] != 110 || found[2] {
-		t.Fatalf("MGET = %v/%v/%v", vals, found, err)
-	}
-	if pairs, _, _, err := c.Scan(0, ^uint64(0), 100, 0); err != nil || len(pairs) != 4 {
-		t.Fatalf("scan = %d pairs, %v", len(pairs), err)
-	}
-	if present, err := c.MDel([]uint64{12, 99}); err != nil || !present[0] || present[1] {
-		t.Fatalf("MDEL = %v/%v", present, err)
-	}
-	if ok, err := c.Del(5); err != nil || !ok {
-		t.Fatalf("del = %v/%v", ok, err)
-	}
-	if _, err := c.Scrub(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stats(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Concurrent use of the one v1 connection: replies arrive in request
-	// order, and FIFO matching must hand each worker its own answer.
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for id := 0; id < 8; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			base := uint64(id+1) << 32
-			for i := uint64(0); i < 50; i++ {
-				if err := c.Put(base+i, base^i); err != nil {
-					errs <- err
-					return
-				}
-				v, ok, err := c.Get(base + i)
-				if err != nil || !ok || v != base^i {
-					//pgllint:ignore errwrap test diagnostic renders the whole (v,ok,err) tuple; err may be nil here and nothing unwraps it
-					errs <- fmt.Errorf("worker %d: get %d = (%d,%v,%v)", id, base+i, v, ok, err)
-					return
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	get, _ := EncodeRequest(nil, Request{Op: OpGet, Key: 6})
+	for name, first := range map[string][]byte{"magicless op 13": notHello, "GET": get} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if err := WriteFrame(conn, first); err != nil {
+			t.Fatal(err)
+		}
+		p, err := ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if status, _, _ := DecodeResponse(p); status != StatusErr {
+			t.Fatalf("%s first frame answered with status %d, want StatusErr", name, status)
+		}
+		if p, err := ReadFrame(br, nil); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: after the ERR frame got (%x, %v), want EOF", name, p, err)
+		}
 	}
 }
 

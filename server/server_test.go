@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"net"
 	"reflect"
 	"testing"
@@ -228,38 +230,63 @@ func TestServerBatchOps(t *testing.T) {
 	}
 }
 
-func TestServerRejectsMalformedFrame(t *testing.T) {
-	_, addr := startServer(t, t.TempDir(), 2)
+// dialRaw opens a bare TCP connection to addr and performs the HELLO
+// handshake by hand, for tests that write frames the Client cannot
+// emit. The connection closes with the test.
+func dialRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := WriteFrame(conn, []byte{99, 1, 2, 3}); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	hello, _ := EncodeRequest(nil, Request{Op: OpHello, Key: HelloMagic, Val: ProtocolV2})
+	if err := WriteFrame(conn, hello); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ReadFrame(conn, nil)
+	br := bufio.NewReader(conn)
+	p, err := ReadFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, _, err := DecodeResponse(p)
+	if status, body, _ := DecodeResponse(p); status != StatusOK {
+		t.Fatalf("HELLO answered with status %d: %s", status, body)
+	}
+	return conn, br
+}
+
+// rawRoundTrip writes one sequenced request payload and reads one reply,
+// returning its echoed sequence number and status.
+func rawRoundTrip(t *testing.T, conn net.Conn, br *bufio.Reader, payload []byte) (uint64, uint8) {
+	t.Helper()
+	if err := WriteFrame(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ReadFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != StatusErr {
-		t.Fatalf("status = %d, want StatusErr", status)
+	seq, status, _, err := DecodeResponseSeq(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq, status
+}
+
+func TestServerRejectsMalformedFrame(t *testing.T) {
+	_, addr := startServer(t, t.TempDir(), 2)
+	conn, br := dialRaw(t, addr)
+	// A sequenced frame with an unknown opcode is answered, not dropped:
+	// ERR carrying the frame's own sequence number.
+	bad := binary.BigEndian.AppendUint64(nil, 41)
+	bad = append(bad, 99, 1, 2, 3)
+	if seq, status := rawRoundTrip(t, conn, br, bad); seq != 41 || status != StatusErr {
+		t.Fatalf("op 99 answered (seq %d, status %d), want (41, StatusErr)", seq, status)
 	}
 	// The server answers good requests on the same connection afterwards.
-	req, _ := EncodeRequest(nil, Request{Op: OpPut, Key: 1, Val: 2})
-	if err := WriteFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	p, err = ReadFrame(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, _, _ = DecodeResponse(p); status != StatusOK {
-		t.Fatalf("put after bad frame: status %d", status)
+	put, _ := EncodeRequestSeq(nil, 42, Request{Op: OpPut, Key: 1, Val: 2})
+	if seq, status := rawRoundTrip(t, conn, br, put); seq != 42 || status != StatusOK {
+		t.Fatalf("put after bad frame answered (seq %d, status %d)", seq, status)
 	}
 }
 

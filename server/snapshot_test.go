@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"math/rand"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -130,34 +128,22 @@ func TestSnapScanCursorModeAndCap(t *testing.T) {
 		}
 	}
 
-	// Hand-rolled v1 frames (the pipelined client cannot emit these
-	// shapes by construction).
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
+	// Hand-rolled frames (the pipelined client cannot emit these shapes
+	// by construction).
+	conn, br := dialRaw(t, addr)
+	seq := uint64(0)
 	rawStatus := func(req Request) uint8 {
 		t.Helper()
-		payload, err := EncodeRequest(nil, req)
+		seq++
+		payload, err := EncodeRequestSeq(nil, seq, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(bw, payload); err != nil {
-			t.Fatal(err)
+		got, status := rawRoundTrip(t, conn, br, payload)
+		if got != seq {
+			t.Fatalf("reply for seq %d, want %d", got, seq)
 		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := ReadFrame(br, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(frame) == 0 {
-			t.Fatal("empty response frame")
-		}
-		return frame[0]
+		return status
 	}
 	// Continuation cursor with no snapshot id: which snapshot is this?
 	if s := rawStatus(Request{Op: OpSnapScan, Key: 0, Val: ^uint64(0), Limit: 10, Cursor: 5}); s != StatusCursorMode {
@@ -198,11 +184,11 @@ func TestSnapScanCursorModeAndCap(t *testing.T) {
 	}
 }
 
-// TestBackupUnderWritesRestores: BACKUP taken while writers commit must
-// stream one generation-consistent image — every record satisfies the
-// writers' per-key invariant, no key twice, ascending — and replaying
-// it into a fresh set reproduces exactly that image, which then scrubs
-// clean. This is the in-process form of the loadtest's backup gate.
+// TestBackupUnderWritesRestores: a Backup taken while writers commit
+// must stream one generation-consistent image — every record satisfies
+// the writers' per-key invariant, no key twice, ascending — and
+// replaying it into a fresh set reproduces exactly that image, which
+// then scrubs clean. This is the in-process form of the loadtest's backup gate.
 func TestBackupUnderWritesRestores(t *testing.T) {
 	addr, set := startMaintServer(t, shard.Options{Structure: "btree", Backend: "pangolin,logstore"})
 	c, err := Dial(t.Context(), addr)
@@ -210,12 +196,9 @@ func TestBackupUnderWritesRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const keys = 600
-	for k := uint64(0); k < keys; k++ {
-		if err := c.Put(k, k^0xF00D); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// More than two full pages, so the backup spans at least three.
+	const keys = 3 * MaxScanPairs
+	preload(t, c, keys, func(k uint64) uint64 { return k ^ 0xF00D })
 	// Writers keep churning the same keyspace; every present key always
 	// maps to k^0xF00D, so any consistent image satisfies that invariant
 	// while an inconsistent smear cannot be detected by it — consistency
@@ -279,12 +262,10 @@ func TestBackupUnderWritesRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(image) == 0 {
-		t.Fatal("backup streamed nothing")
+	if len(image) <= 2*MaxScanPairs {
+		t.Fatalf("backup streamed %d pairs, want more than two %d-pair pages", len(image), MaxScanPairs)
 	}
-	if pins := set.Stats().SnapshotPins; pins != 0 {
-		t.Fatalf("backup left %d pins held", pins)
-	}
+	waitNoPins(t, set)
 
 	// Restore into a fresh set and verify it IS the image.
 	raddr, rset := startMaintServer(t, shard.Options{Structure: "btree"})
@@ -337,4 +318,79 @@ func TestBackupUnderWritesRestores(t *testing.T) {
 	if rep.Unrecovered != 0 || rep.PagesUnrecovered != 0 {
 		t.Fatalf("restored set scrubbed dirty: %+v", rep)
 	}
+}
+
+// preload writes keys [0, n) with value val(k) in MaxBatchOps-sized MPUTs.
+func preload(t *testing.T, c *Client, n int, val func(k uint64) uint64) {
+	t.Helper()
+	ks := make([]uint64, 0, MaxBatchOps)
+	vs := make([]uint64, 0, MaxBatchOps)
+	for k := uint64(0); k < uint64(n); k++ {
+		ks, vs = append(ks, k), append(vs, val(k))
+		if len(ks) == MaxBatchOps || k == uint64(n)-1 {
+			if err := c.MPut(ks, vs); err != nil {
+				t.Fatal(err)
+			}
+			ks, vs = ks[:0], vs[:0]
+		}
+	}
+}
+
+// waitNoPins polls until set holds no snapshot pins: the server releases
+// a backup's pins when its connection closes, which happens after
+// Backup returns.
+func waitNoPins(t *testing.T, set *shard.Set) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for set.Stats().SnapshotPins != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("backup left %d pins held", set.Stats().SnapshotPins)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBackupStopsEarly: fn returning false ends the backup without an
+// error, and closing the backup's connection releases its pins.
+func TestBackupStopsEarly(t *testing.T) {
+	addr, set := startMaintServer(t, shard.Options{Structure: "btree"})
+	c, err := Dial(t.Context(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	preload(t, c, 2*MaxScanPairs, func(k uint64) uint64 { return k })
+	calls := 0
+	if err := Backup(t.Context(), addr, func(k, v uint64) bool {
+		calls++
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("fn called %d times after returning false, want 1", calls)
+	}
+	waitNoPins(t, set)
+}
+
+// TestBackupContextCancel: cancelling ctx from inside fn ends the backup
+// with an error wrapping context.Canceled, and its pins are released.
+func TestBackupContextCancel(t *testing.T) {
+	addr, set := startMaintServer(t, shard.Options{Structure: "btree"})
+	c, err := Dial(t.Context(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	preload(t, c, 2*MaxScanPairs, func(k uint64) uint64 { return k })
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	err = Backup(ctx, addr, func(k, v uint64) bool {
+		cancel()
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Backup after cancel = %v, want context.Canceled", err)
+	}
+	waitNoPins(t, set)
 }
