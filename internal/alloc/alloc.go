@@ -84,6 +84,7 @@ type zoneState struct {
 type Allocator struct {
 	dev     *nvm.Device
 	geo     layout.Geometry
+	loc     layout.ChunkLocator
 	classes []uint64
 	zones   []*zoneState
 	next    uint64 // round-robin zone cursor (mutated under zone locks only loosely)
@@ -152,7 +153,7 @@ func Open(dev *nvm.Device, geo layout.Geometry) (*Allocator, error) {
 	if err := checkGeometry(geo); err != nil {
 		return nil, err
 	}
-	a := &Allocator{dev: dev, geo: geo, classes: sizeClasses(geo.ChunkSize)}
+	a := &Allocator{dev: dev, geo: geo, loc: geo.ChunkLocator(), classes: sizeClasses(geo.ChunkSize)}
 	a.zones = make([]*zoneState, geo.NumZones)
 	buf := make([]byte, layout.CMEntrySize)
 	for z := uint64(0); z < geo.NumZones; z++ {
@@ -440,17 +441,11 @@ func (a *Allocator) SlotSizeOf(base uint64) (uint64, error) {
 }
 
 // locateChunk maps an object header offset to (zone, chunk, offset within
-// chunk).
+// chunk), rejecting offsets outside zone data and inside the CM area.
 func (a *Allocator) locateChunk(base uint64) (z, c, rel uint64, err error) {
-	if !a.geo.InZoneData(base) {
-		return 0, 0, 0, fmt.Errorf("alloc: %#x outside zone data", base)
+	z, c, rel, err = a.loc.Chunk(base)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("alloc: %#x %w", base, err)
 	}
-	loc := a.geo.Locate(base)
-	byteIdx := loc.Row*a.geo.RowSize() + loc.Col
-	c = byteIdx / a.geo.ChunkSize
-	rel = byteIdx % a.geo.ChunkSize
-	if c < a.geo.CMChunks() {
-		return 0, 0, 0, fmt.Errorf("alloc: %#x is inside the CM area", base)
-	}
-	return loc.Zone, c, rel, nil
+	return z, c, rel, nil
 }

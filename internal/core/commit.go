@@ -164,20 +164,6 @@ func (tx *Tx) commitPangolin() error {
 	if tx.root != nil {
 		e.applyRoot(tx.root.oid, tx.root.size)
 	}
-	// Advance the per-object modification clock to the epoch this commit
-	// establishes, invalidating exactly the verified-read cache entries
-	// whose objects changed (freed slots count: their offsets may be
-	// reused by a later allocation).
-	epoch := e.stats.Commits.Load() + 1
-	for _, b := range work {
-		e.noteModified(b.OID.Off, epoch)
-	}
-	for _, res := range tx.allocs {
-		e.noteModified(res.UserOff, epoch)
-	}
-	for off := range tx.freed {
-		e.noteModified(off, epoch)
-	}
 	tx.releaseLate()
 	tx.w.Clear()
 	return nil

@@ -110,45 +110,7 @@ type Engine struct {
 	scrubDone chan struct{}
 	closed    atomic.Bool
 
-	// modClock records, per object (hashed by offset into a fixed
-	// table), the commit epoch that last modified it. The verified-read
-	// cache (Pool.ReadView) consults it so a commit only invalidates
-	// the objects it actually wrote, not every cached verification in
-	// the pool. Collisions round up — they can only force a redundant
-	// re-verification, never mask a modification. Maintained for
-	// micro-buffered modes (the only ones with checksums to verify).
-	modClock [modClockSlots]atomic.Uint64
-
 	stats Stats
-}
-
-// modClockSlots sizes the modification clock (64 KB per pool).
-const modClockSlots = 1 << 13
-
-// modSlot hashes an object offset into the clock table (splitmix64
-// finalizer: neighboring slots must not collide systematically).
-func modSlot(off uint64) uint64 {
-	return mix64(off) & (modClockSlots - 1)
-}
-
-// noteModified records that the object at off is modified by the commit
-// bringing the commit count to epoch. Monotonic (concurrent commits on
-// distinct objects may share a slot).
-func (e *Engine) noteModified(off, epoch uint64) {
-	s := &e.modClock[modSlot(off)]
-	for {
-		cur := s.Load()
-		if cur >= epoch || s.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
-
-// ModEpoch returns the latest commit epoch that may have modified the
-// object (conservative under hash collisions). A verification performed
-// at CommitEpoch E is still current iff E >= ModEpoch(oid).
-func (e *Engine) ModEpoch(oid layout.OID) uint64 {
-	return e.modClock[modSlot(oid.Off)].Load()
 }
 
 // Create formats a pool on dev with the given geometry and opens it.

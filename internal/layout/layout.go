@@ -30,6 +30,7 @@
 package layout
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/pangolin-go/pangolin/internal/nvm"
@@ -275,6 +276,60 @@ func (g Geometry) Locate(off uint64) Loc {
 	z := (off - g.ZonesOff()) / g.ZoneSize()
 	rel := off - g.RowsBase(z)
 	return Loc{Zone: z, Row: rel / g.RowSize(), Col: rel % g.RowSize()}
+}
+
+// ErrOutsideZoneData and ErrInCMArea are ChunkLocator.Chunk's failures.
+var (
+	ErrOutsideZoneData = errors.New("outside zone data")
+	ErrInCMArea        = errors.New("inside the CM area")
+)
+
+// ChunkLocator maps object offsets to chunks with the geometry sizes
+// computed once, so each lookup costs a few compares and at most two
+// divisions. It is the range check of every object access (the
+// allocator's, and through it the engine's header reads); InZoneData,
+// Locate and CMChunks remain the reference it must agree with.
+type ChunkLocator struct {
+	zonesOff, poolSize, zoneSize uint64
+	dataOff, dataEnd             uint64 // a zone's data rows, relative to its base
+	cmBytes                      uint64 // the CM area leading each zone's data rows
+	chunkSize                    uint64
+}
+
+// ChunkLocator returns the locator for this geometry.
+func (g Geometry) ChunkLocator() ChunkLocator {
+	return ChunkLocator{
+		zonesOff:  g.ZonesOff(),
+		poolSize:  g.PoolSize(),
+		zoneSize:  g.ZoneSize(),
+		dataOff:   2 * PageSize,
+		dataEnd:   2*PageSize + g.ZoneDataSize(),
+		cmBytes:   g.CMChunks() * g.ChunkSize,
+		chunkSize: g.ChunkSize,
+	}
+}
+
+// Chunk maps pool offset off to its zone z, its chunk c (0-based across
+// the zone's data rows, as in ChunkBase) and its offset rel inside that
+// chunk. It fails with ErrOutsideZoneData unless off lies in some zone's
+// data rows, and with ErrInCMArea when it lies in the chunk-metadata
+// chunks that lead them.
+func (l *ChunkLocator) Chunk(off uint64) (z, c, rel uint64, err error) {
+	if off < l.zonesOff || off >= l.poolSize {
+		return 0, 0, 0, ErrOutsideZoneData
+	}
+	d := off - l.zonesOff
+	z = d / l.zoneSize
+	d -= z * l.zoneSize
+	if d < l.dataOff || d >= l.dataEnd {
+		return 0, 0, 0, ErrOutsideZoneData
+	}
+	d -= l.dataOff
+	if d < l.cmBytes {
+		return 0, 0, 0, ErrInCMArea
+	}
+	c = d / l.chunkSize
+	return z, c, d - c*l.chunkSize, nil
 }
 
 // RowByteOff is the inverse of Locate: the pool offset of (zone, row, col).

@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -294,4 +296,59 @@ func TestReadReplicatedSurvivesPoisonedPrimary(t *testing.T) {
 	if _, err := ReadReplicated(dev, 0, 4096, 1, decode); err == nil {
 		t.Fatal("expected failure with both copies poisoned")
 	}
+}
+
+// locateRef is ChunkLocator.Chunk computed from the Geometry reference
+// methods: InZoneData, Locate and the CMChunks rule.
+func locateRef(g Geometry, off uint64) (z, c, rel uint64, err error) {
+	if !g.InZoneData(off) {
+		return 0, 0, 0, ErrOutsideZoneData
+	}
+	loc := g.Locate(off)
+	byteIdx := loc.Row*g.RowSize() + loc.Col
+	c = byteIdx / g.ChunkSize
+	if c < g.CMChunks() {
+		return 0, 0, 0, ErrInCMArea
+	}
+	return loc.Zone, c, byteIdx % g.ChunkSize, nil
+}
+
+func checkLocator(t *testing.T, g Geometry, l *ChunkLocator, off uint64) {
+	t.Helper()
+	z, c, rel, err := l.Chunk(off)
+	rz, rc, rrel, rerr := locateRef(g, off)
+	if z != rz || c != rc || rel != rrel || !errors.Is(err, rerr) {
+		t.Fatalf("Chunk(%#x) = (%d, %d, %d, %v), reference (%d, %d, %d, %v)",
+			off, z, c, rel, err, rz, rc, rrel, rerr)
+	}
+}
+
+// TestChunkLocatorMatchesReference: the locator agrees with the Geometry
+// reference at every 16-byte offset of a Default pool (and just past
+// its end), and at a seeded sample of offsets of a Paper(2) pool plus
+// every zone's region boundaries.
+func TestChunkLocatorMatchesReference(t *testing.T) {
+	g := Default()
+	l := g.ChunkLocator()
+	for off := uint64(0); off < g.PoolSize()+64; off += ObjHeaderSize {
+		checkLocator(t, g, &l, off)
+	}
+
+	g = Paper(2)
+	l = g.ChunkLocator()
+	var edges []uint64
+	for z := uint64(0); z < g.NumZones; z++ {
+		cm := g.ChunkBase(z, g.CMChunks())
+		for _, b := range []uint64{g.ZoneBase(z), g.RowsBase(z), cm, g.ParityBase(z), g.ZoneBase(z) + g.ZoneSize()} {
+			edges = append(edges, b-ObjHeaderSize, b-1, b, b+1)
+		}
+	}
+	for _, off := range edges {
+		checkLocator(t, g, &l, off)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		checkLocator(t, g, &l, rng.Uint64()%(g.PoolSize()+PageSize))
+	}
+	checkLocator(t, g, &l, ^uint64(0))
 }

@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/pangolin-go/pangolin"
 	"github.com/pangolin-go/pangolin/internal/store/pangolinstore"
 )
 
@@ -90,11 +92,11 @@ func TestFastPathFallsBackWhenGateHeld(t *testing.T) {
 	}
 	w := s.workers[0]
 	w.gate.Lock()
-	if _, _, _, served := w.fastGet(1); served {
+	if _, _, _, fp := w.fastGet(1); fp != fastBusy {
 		w.gate.Unlock()
 		t.Fatal("fastGet served a read while the writer gate was held")
 	}
-	if _, ok := w.fastGetBatch([]BatchOp{{Kind: BatchGet, K: 1}}); ok {
+	if _, fp := w.fastGetBatch([]BatchOp{{Kind: BatchGet, K: 1}}); fp != fastBusy {
 		w.gate.Unlock()
 		t.Fatal("fastGetBatch served a slice while the writer gate was held")
 	}
@@ -138,6 +140,170 @@ func TestFastPathFaultFallsBackToRepair(t *testing.T) {
 	}
 	if w.fastGets.Load() != before+1 {
 		t.Fatal("fast path did not resume after online repair")
+	}
+}
+
+// hashmapEntryOff returns the pool offset of key k's chain entry in a
+// hashmap shard, walking the structure's on-media layout: the anchor
+// starts with the table OID; the table is a 16-byte header (bucket
+// count first) then one OID per bucket; an entry is Next OID, key,
+// value.
+func hashmapEntryOff(t *testing.T, ps *pangolinstore.Store, k uint64) uint64 {
+	t.Helper()
+	p := ps.Pool()
+	oid := func(b []byte) pangolin.OID {
+		return pangolin.OID{Pool: binary.LittleEndian.Uint64(b), Off: binary.LittleEndian.Uint64(b[8:])}
+	}
+	a, err := p.Get(ps.Map().Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := p.Get(oid(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := binary.LittleEndian.Uint64(table)
+	for cur := oid(table[16+(k*0x9E3779B97F4A7C15%n)*16:]); !cur.IsNil(); {
+		e, err := p.Get(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if binary.LittleEndian.Uint64(e[16:]) == k {
+			return cur.Off
+		}
+		cur = oid(e)
+	}
+	t.Fatalf("key %d not found", k)
+	return 0
+}
+
+// TestFastPathScribbleHealedNotServed: a value scribbled under the fast
+// path fails its verified read, and every fast-path entry point then
+// heals it on the worker — a verified re-read after a repair pass —
+// instead of serving the scribbled bytes through an owner read that
+// does not verify.
+func TestFastPathScribbleHealedNotServed(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	for k := uint64(0); k < 8; k++ {
+		if err := s.Put(k, encode(0, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := s.workers[0]
+	ps := w.st.(*pangolinstore.Store)
+	valOff := hashmapEntryOff(t, ps, 3) + 24
+	want := encode(0, 3)
+	reads := []struct {
+		name string
+		get  func() (uint64, bool, error)
+	}{
+		{"Get", func() (uint64, bool, error) { return s.Get(3) }},
+		{"SubmitGet", func() (uint64, bool, error) {
+			ch := make(chan BatchResult, 1)
+			s.SubmitGet(3, func(r BatchResult) { ch <- r })
+			r := <-ch
+			return r.V, r.OK, r.Err
+		}},
+		{"Batch", func() (uint64, bool, error) {
+			r := s.Batch([]BatchOp{{Kind: BatchGet, K: 3}, {Kind: BatchGet, K: 4}})
+			if r[1].Err == nil && r[1].V != encode(0, 4) {
+				t.Errorf("batch neighbour = %#x", r[1].V)
+			}
+			return r[0].V, r[0].OK, r[0].Err
+		}},
+		{"Scan", func() (uint64, bool, error) {
+			pairs, _, _, err := s.Scan(3, 3, 4)
+			if err != nil || len(pairs) != 1 {
+				return 0, false, err
+			}
+			return pairs[0].V, true, nil
+		}},
+		{"SnapScan", func() (uint64, bool, error) {
+			sn, err := s.OpenSnapshot()
+			if err != nil {
+				return 0, false, err
+			}
+			defer sn.Release()
+			pairs, _, _, err := sn.Scan(3, 3, 4)
+			if err != nil || len(pairs) != 1 {
+				return 0, false, err
+			}
+			return pairs[0].V, true, nil
+		}},
+	}
+	for i, r := range reads {
+		faults := w.fastFaults.Load() + w.scanFaults.Load()
+		ps.Pool().InjectScribble(valOff, 8, int64(99+i))
+		v, ok, err := r.get()
+		if err != nil || !ok || v != want {
+			t.Fatalf("%s over a scribbled value = (%#x, %v, %v), want (%#x, true, nil)", r.name, v, ok, err, want)
+		}
+		if w.fastFaults.Load()+w.scanFaults.Load() == faults {
+			t.Fatalf("%s: the fast path did not see the scribble", r.name)
+		}
+	}
+}
+
+// TestFastPathHealReadStaysOutOfGroups: a read queued to be healed must
+// not join a group commit, whose in-transaction lookups do not verify.
+// The worker is held off (gate) while two puts and the heal read queue
+// up, so the drain would otherwise fold all three into one batch.
+func TestFastPathHealReadStaysOutOfGroups(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	for k := uint64(0); k < 8; k++ {
+		if err := s.Put(k, encode(0, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := s.workers[0]
+	ps := w.st.(*pangolinstore.Store)
+	ps.Pool().InjectScribble(hashmapEntryOff(t, ps, 3)+24, 8, 99)
+	puts := make(chan BatchResult, 2)
+	got := make(chan response, 1)
+	w.gate.Lock()
+	s.SubmitPut(100, 1, func(r BatchResult) { puts <- r })
+	s.SubmitPut(101, 1, func(r BatchResult) { puts <- r })
+	w.submit(request{op: opGet, k: 3, heal: true, done: func(r response) { got <- r }})
+	w.gate.Unlock()
+	for range 2 {
+		if r := <-puts; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if r := <-got; r.err != nil || !r.ok || r.v != encode(0, 3) {
+		t.Fatalf("heal read = (%#x, %v, %v), want (%#x, true, nil)", r.v, r.ok, r.err, encode(0, 3))
+	}
+}
+
+// TestFastPathScribbledBucketCountHeals: the hashmap table is larger
+// than the view's verify limit, so a scribbled bucket count is caught
+// by the structure's own count check; the typed corruption it returns
+// routes the read to the worker, which repairs the table from parity
+// and serves every key.
+func TestFastPathScribbledBucketCountHeals(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	for k := uint64(0); k < 8; k++ {
+		if err := s.Put(k, encode(0, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := s.workers[0]
+	ps := w.st.(*pangolinstore.Store)
+	a, err := ps.Pool().Get(ps.Map().Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.Pool().Device().WriteAt(binary.LittleEndian.Uint64(a[8:]), []byte{0xe0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	for k := uint64(0); k < 8; k++ {
+		if v, ok, err := s.Get(k); err != nil || !ok || v != encode(0, k) {
+			t.Fatalf("get %d over a scribbled bucket count = (%#x, %v, %v)", k, v, ok, err)
+		}
+	}
+	if w.fastFaults.Load() == 0 {
+		t.Fatal("the fast path did not see the scribbled count")
 	}
 }
 

@@ -18,10 +18,13 @@
 // write side around every store access, so a group commit (the
 // linearization point for the shard) excludes readers only for the
 // commit itself. Readers never block on the gate: if it is unavailable
-// — commit, save, crash-image, scrub, or recovery in progress — or a
-// read hits a fault that needs online repair, the read falls back to
-// the worker queue, whose repairing path serializes with everything
-// else.
+// — commit, save, crash-image, scrub, or recovery in progress — the
+// read falls back to the worker queue, which serializes with everything
+// else. A read whose verification failed falls back with request.heal
+// set: the worker re-runs it verified under its exclusive gate, outside
+// any group commit, with one repair pass on corruption (withHeal), so
+// the bytes the view rejected are never served by an owner read that
+// does not verify.
 //
 // Backends are selected per shard (Options.Backend): the pangolin
 // backend persists as one snapshot file per shard (shard-%04d.pgl, via
@@ -480,15 +483,17 @@ func (s *Set) Put(k, v uint64) error {
 // the shard store from the caller's goroutine, in parallel with other
 // readers, gated by the shard's reader/writer gate. When the worker owns
 // the gate (a group commit, save, crash image, scrub, or recovery window
-// is in progress) or the read hits a fault that needs repair, the read
-// falls back to the worker queue; Stats reports both populations
-// (fast_gets vs gets, plus fast_fallbacks/fast_faults).
+// is in progress) the read falls back to the worker queue; a read whose
+// verification failed falls back to be healed (see request.heal). Stats
+// reports both populations (fast_gets vs gets, plus
+// fast_fallbacks/fast_faults).
 func (s *Set) Get(k uint64) (uint64, bool, error) {
 	w := s.workers[s.ShardOf(k)]
-	if v, ok, err, served := w.fastGet(k); served {
+	v, ok, err, fp := w.fastGet(k)
+	if fp == fastServed {
 		return v, ok, err
 	}
-	r := w.do(request{op: opGet, k: k})
+	r := w.do(request{op: opGet, k: k, heal: fp == fastFault})
 	return r.v, r.ok, r.err
 }
 
@@ -528,15 +533,16 @@ func (s *Set) Submit(op BatchOp, done func(BatchResult)) {
 
 // SubmitGet is Submit for a read: the verified-read fast path runs
 // inline on the caller's goroutine when it can (completing done before
-// SubmitGet returns), and gate-busy or faulting reads fall back to the
-// worker queue's repairing path.
+// SubmitGet returns); gate-busy reads fall back to the worker queue and
+// faulting reads to the worker's healing path.
 func (s *Set) SubmitGet(k uint64, done func(BatchResult)) {
 	w := s.workers[s.ShardOf(k)]
-	if v, ok, err, served := w.fastGet(k); served {
+	v, ok, err, fp := w.fastGet(k)
+	if fp == fastServed {
 		done(BatchResult{V: v, OK: ok, Err: err})
 		return
 	}
-	w.submit(request{op: opGet, k: k, done: func(r response) {
+	w.submit(request{op: opGet, k: k, heal: fp == fastFault, done: func(r response) {
 		done(BatchResult{V: r.v, OK: r.ok, Err: r.err})
 	}})
 }
@@ -583,8 +589,10 @@ func (s *Set) Batch(ops []BatchOp) []BatchResult {
 		// transaction even on the worker path (runGroup executes them
 		// per-op), so the semantics are identical; mixed or mutating
 		// slices go to the worker as before.
+		fp := fastBusy
 		if allGets(sub) {
-			if res, ok := s.workers[sh].fastGetBatch(sub); ok {
+			var res []BatchResult
+			if res, fp = s.workers[sh].fastGetBatch(sub); fp == fastServed {
 				for j, i := range perIdx[sh] {
 					out[i] = res[j]
 				}
@@ -592,7 +600,7 @@ func (s *Set) Batch(ops []BatchOp) []BatchResult {
 				continue
 			}
 		}
-		results[sh] = s.workers[sh].send(request{op: opBatch, ops: sub})
+		results[sh] = s.workers[sh].send(request{op: opBatch, ops: sub, heal: fp == fastFault})
 	}
 	for sh, ch := range results {
 		if ch == nil {

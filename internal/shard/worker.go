@@ -53,12 +53,19 @@ type BatchResult struct {
 }
 
 type request struct {
-	op    uint8
-	k, v  uint64 // key/value; for opScan, the lo/hi bounds
-	max   int    // opScan: chunk pair cap
-	seed  int64
-	ops   []BatchOp       // opBatch
-	snap  *store.Snapshot // opSnapScan: the pinned snapshot to resolve reads at
+	op   uint8
+	k, v uint64 // key/value; for opScan, the lo/hi bounds
+	max  int    // opScan: chunk pair cap
+	seed int64
+	ops  []BatchOp       // opBatch
+	snap *store.Snapshot // opSnapScan: the pinned snapshot to resolve reads at
+	// heal marks a read (opGet, an all-GET opBatch, opScan, opSnapScan)
+	// whose fast-path verified read failed. The worker re-runs it
+	// verified, on the view under its exclusive gate and inside
+	// withHeal, and outside any group commit: the owner store's reads
+	// (Get, and Apply's in-transaction lookups) need not verify, so they
+	// would serve the bytes the view just rejected.
+	heal  bool
 	reply chan response
 	// done is the asynchronous completion path: when set (Submit), the
 	// worker invokes it exactly once with the response instead of
@@ -286,167 +293,148 @@ func (w *worker) isClosed() bool {
 	return w.closed
 }
 
-// fastGet attempts to serve a Get on the concurrent fast path: a
-// verified read against the store's view from the caller's goroutine,
-// under the reader gate. served=false means the caller must route the
-// request through the worker (gate contended, freeze window, or a fault
-// that needs the worker's repairing read path).
-func (w *worker) fastGet(k uint64) (v uint64, ok bool, err error, served bool) {
+// fastPath is the outcome of a fast-path read attempt.
+type fastPath uint8
+
+const (
+	fastServed fastPath = iota // answered on the caller's goroutine
+	fastBusy                   // no view, gate busy or freeze: queue the read
+	fastFault                  // the verified read failed: queue it with heal set
+)
+
+// fastRead runs read against the store's view on the caller's goroutine,
+// under the reader gate's read side — the concurrent verified-read fast
+// path every Get, all-GET batch slice and scan chunk tries first. Unless
+// it returns fastServed, the caller must route the read through the
+// worker, with request.heal set on fastFault; busy and faults count the
+// two kinds of fallback. A closed shard is served its typed
+// ErrShuttingDown.
+func (w *worker) fastRead(busy, faults *atomic.Uint64, read func() error) (fastPath, error) {
 	if w.view == nil {
-		return 0, false, nil, false
+		return fastBusy, nil
 	}
 	if w.isClosed() {
-		return 0, false, fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown), true
+		return fastServed, fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown)
 	}
 	if !w.gate.TryRLock() {
-		w.fastFallbacks.Add(1)
-		return 0, false, nil, false
+		busy.Add(1)
+		return fastBusy, nil
 	}
-	v, ok, err = w.view.Get(k)
+	err := read()
 	w.gate.RUnlock()
-	if err != nil {
-		if pangolin.ReadBusy(err) {
-			w.fastFallbacks.Add(1)
-		} else {
-			w.fastFaults.Add(1)
+	switch {
+	case err == nil:
+		return fastServed, nil
+	case pangolin.ReadBusy(err):
+		busy.Add(1)
+		return fastBusy, nil
+	default:
+		faults.Add(1)
+		return fastFault, nil
+	}
+}
+
+// fastGet attempts to serve a Get on the fast path (see fastRead).
+func (w *worker) fastGet(k uint64) (v uint64, ok bool, err error, fp fastPath) {
+	fp, err = w.fastRead(&w.fastFallbacks, &w.fastFaults, func() (e error) {
+		v, ok, e = w.view.Get(k)
+		return e
+	})
+	if fp == fastServed && err == nil {
+		w.fastGets.Add(1)
+		if ok {
+			w.fastHits.Add(1)
 		}
-		return 0, false, nil, false
 	}
-	w.fastGets.Add(1)
-	if ok {
-		w.fastHits.Add(1)
-	}
-	return v, ok, nil, true
+	return v, ok, err, fp
 }
 
 // fastGetBatch serves an all-GET batch slice on the fast path, taking
 // the reader gate once for the whole slice. Like the worker's own
 // handling of read-only groups, the lookups are per-op (a read-only
 // batch has no transaction and no group atomicity to preserve). Any
-// error bounces the entire slice to the worker.
-func (w *worker) fastGetBatch(ops []BatchOp) ([]BatchResult, bool) {
-	if w.view == nil || w.isClosed() {
-		return nil, false
-	}
-	if !w.gate.TryRLock() {
-		w.fastFallbacks.Add(1)
-		return nil, false
-	}
-	res := getBatchResults(len(ops))
+// error bounces the entire slice to the worker (a closed shard's too:
+// the queue answers it with ErrShuttingDown).
+func (w *worker) fastGetBatch(ops []BatchOp) (res []BatchResult, fp fastPath) {
 	hits := uint64(0)
-	for i, op := range ops {
-		v, ok, err := w.view.Get(op.K)
-		if err != nil {
-			w.gate.RUnlock()
-			putBatchResults(res)
-			if pangolin.ReadBusy(err) {
-				w.fastFallbacks.Add(1)
-			} else {
-				w.fastFaults.Add(1)
+	fp, err := w.fastRead(&w.fastFallbacks, &w.fastFaults, func() error {
+		res = getBatchResults(len(ops))
+		for i, op := range ops {
+			v, ok, err := w.view.Get(op.K)
+			if err != nil {
+				putBatchResults(res)
+				return err
 			}
-			return nil, false
+			res[i] = BatchResult{V: v, OK: ok}
+			if ok {
+				hits++
+			}
 		}
-		res[i] = BatchResult{V: v, OK: ok}
-		if ok {
-			hits++
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, fastBusy
 	}
-	w.gate.RUnlock()
+	if fp != fastServed {
+		return nil, fp
+	}
 	w.fastGets.Add(uint64(len(ops)))
 	w.fastHits.Add(hits)
-	return res, true
+	return res, fp
 }
 
 // scanChunk returns the up-to-max smallest pairs with keys in [lo, hi],
-// ascending. It first attempts the concurrent fast path (a view scan
-// under the reader gate on the caller's goroutine); a gate-busy, freeze,
-// or fault chunk falls back to the worker queue, whose repairing read
-// path serializes with everything else. len(result) < max means the
-// shard holds no further pairs in the range.
+// ascending. It first attempts the fast path (see fastRead), holding
+// the reader gate for the chunk only, so a long Set.Scan releases and
+// re-acquires the gate every chunk and never starves the worker's group
+// commits; a chunk it cannot serve goes to the worker queue.
+// len(result) < max means the shard holds no further pairs in the range.
 func (w *worker) scanChunk(lo, hi uint64, max int) ([]Pair, error) {
-	if pairs, err, served := w.fastScanChunk(lo, hi, max); served {
+	var pairs []Pair
+	fp, err := w.fastRead(&w.scanFallbacks, &w.scanFaults, func() (e error) {
+		pairs, e = scanCollect(w.view, w.ordered, lo, hi, max)
+		return e
+	})
+	if fp == fastServed {
+		if err == nil {
+			w.fastScans.Add(1)
+			w.fastScanPairs.Add(uint64(len(pairs)))
+		}
 		return pairs, err
 	}
-	r := w.do(request{op: opScan, k: lo, v: hi, max: max})
+	r := w.do(request{op: opScan, k: lo, v: hi, max: max, heal: fp == fastFault})
 	return r.pairs, r.err
-}
-
-// fastScanChunk attempts one scan chunk on the concurrent fast path,
-// holding the reader gate's read side for the duration of the chunk —
-// and only the chunk, so a long Set.Scan releases and re-acquires the
-// gate every chunk and never starves the worker's group commits.
-// served=false means the caller must route the chunk through the worker.
-func (w *worker) fastScanChunk(lo, hi uint64, max int) (pairs []Pair, err error, served bool) {
-	if w.view == nil {
-		return nil, nil, false
-	}
-	if w.isClosed() {
-		return nil, fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown), true
-	}
-	if !w.gate.TryRLock() {
-		w.scanFallbacks.Add(1)
-		return nil, nil, false
-	}
-	pairs, err = scanCollect(w.view, w.ordered, lo, hi, max)
-	w.gate.RUnlock()
-	if err != nil {
-		if pangolin.ReadBusy(err) {
-			w.scanFallbacks.Add(1)
-		} else {
-			w.scanFaults.Add(1)
-		}
-		return nil, nil, false
-	}
-	w.fastScans.Add(1)
-	w.fastScanPairs.Add(uint64(len(pairs)))
-	return pairs, nil, true
 }
 
 // snapScanChunk returns one chunk of a pinned-generation scan — the
-// same two-population split as scanChunk: the fast path resolves the
-// chunk against the shard's ReadView under the reader gate on the
-// caller's goroutine, and a gate-busy, freeze, or fault chunk falls
-// back to the worker queue, where the snapshot resolves against the
-// owner store's repairing reads.
+// same two-population split as scanChunk, with the snapshot resolving
+// against the view on the fast path and the owner store (or, to heal a
+// fault, the view) on the worker. A typed snapshot verdict
+// (ErrSnapshotTooOld) is served directly: the worker cannot improve on
+// it.
 func (w *worker) snapScanChunk(sn *store.Snapshot, lo, hi uint64, max int) ([]Pair, error) {
-	if pairs, err, served := w.fastSnapScanChunk(sn, lo, hi, max); served {
+	var pairs []Pair
+	var tooOld error
+	fp, err := w.fastRead(&w.scanFallbacks, &w.scanFaults, func() error {
+		var e error
+		pairs, e = scanCollect(snapScanner{sn: sn, live: w.view}, sn.Ordered(), lo, hi, max)
+		if errors.Is(e, store.ErrSnapshotTooOld) {
+			tooOld, e = e, nil
+		}
+		return e
+	})
+	switch {
+	case tooOld != nil:
+		return nil, tooOld
+	case fp == fastServed:
+		if err == nil {
+			w.snapScans.Add(1)
+			w.snapScanPairs.Add(uint64(len(pairs)))
+		}
 		return pairs, err
 	}
-	r := w.do(request{op: opSnapScan, snap: sn, k: lo, v: hi, max: max})
+	r := w.do(request{op: opSnapScan, snap: sn, k: lo, v: hi, max: max, heal: fp == fastFault})
 	return r.pairs, r.err
-}
-
-// fastSnapScanChunk attempts one snapshot chunk on the concurrent fast
-// path. A typed snapshot verdict (ErrSnapshotTooOld) is served
-// directly — the worker cannot improve on it — while read faults
-// bounce to the worker's repairing path as usual.
-func (w *worker) fastSnapScanChunk(sn *store.Snapshot, lo, hi uint64, max int) (pairs []Pair, err error, served bool) {
-	if w.view == nil {
-		return nil, nil, false
-	}
-	if w.isClosed() {
-		return nil, fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown), true
-	}
-	if !w.gate.TryRLock() {
-		w.scanFallbacks.Add(1)
-		return nil, nil, false
-	}
-	pairs, err = scanCollect(snapScanner{sn: sn, live: w.view}, sn.Ordered(), lo, hi, max)
-	w.gate.RUnlock()
-	if err != nil {
-		if errors.Is(err, store.ErrSnapshotTooOld) {
-			return nil, err, true
-		}
-		if pangolin.ReadBusy(err) {
-			w.scanFallbacks.Add(1)
-		} else {
-			w.scanFaults.Add(1)
-		}
-		return nil, nil, false
-	}
-	w.snapScans.Add(1)
-	w.snapScanPairs.Add(uint64(len(pairs)))
-	return pairs, nil, true
 }
 
 // scanner is the ranged-iteration surface scanCollect consumes; both
@@ -593,10 +581,11 @@ func (w *worker) stop() {
 	<-w.exited
 }
 
-// groupable reports whether op joins a group commit; the rest (stats,
-// save, crash, scrub) are barriers that flush the group first.
-func groupable(op uint8) bool {
-	return op == opPut || op == opGet || op == opDel || op == opBatch
+// groupable reports whether req joins a group commit; the rest (stats,
+// save, crash, scrub, and reads to be healed) are barriers that flush
+// the group first.
+func groupable(req request) bool {
+	return (req.op == opPut || req.op == opGet || req.op == opDel || req.op == opBatch) && !req.heal
 }
 
 // opCount is the number of data operations req contributes to a group.
@@ -637,7 +626,7 @@ func (w *worker) loop() {
 				return
 			}
 		}
-		if !groupable(req.op) {
+		if !groupable(req) {
 			if req.op == opScrub {
 				w.startFullScrub(req.reply)
 				continue
@@ -660,7 +649,7 @@ func (w *worker) loop() {
 				if !ok {
 					break drain
 				}
-				if !groupable(r2.op) {
+				if !groupable(r2) {
 					barrier, hasBarrier = r2, true
 					break drain
 				}
@@ -699,7 +688,7 @@ func (w *worker) loop() {
 						if !ok {
 							break await
 						}
-						if !groupable(r2.op) {
+						if !groupable(r2) {
 							barrier, hasBarrier = r2, true
 							break await
 						}
@@ -1139,6 +1128,18 @@ func (w *worker) applyOne(op store.Op) (store.Result, error) {
 	return results[0], nil
 }
 
+// readSource is what a worker-path read of req runs against: the owner
+// store, or for a read to be healed (request.heal) the verified view.
+// The worker holds the gate's write side, so no commit overlaps the view
+// read, and withHeal re-runs it verified after a repair pass — the fast
+// path's stale error is never what decides the heal.
+func (w *worker) readSource(req request) store.View {
+	if req.heal {
+		return w.view
+	}
+	return w.st
+}
+
 func (w *worker) handle(req request) response {
 	switch req.op {
 	case opPut:
@@ -1155,8 +1156,9 @@ func (w *worker) handle(req request) response {
 		w.gets++
 		var v uint64
 		var ok bool
+		src := w.readSource(req)
 		err := w.withHeal(func() (e error) {
-			v, ok, e = w.st.Get(req.k)
+			v, ok, e = src.Get(req.k)
 			return e
 		})
 		if err != nil {
@@ -1182,6 +1184,7 @@ func (w *worker) handle(req request) response {
 		// Per-op execution of a batch request: each op on its own with
 		// its own verdict.
 		res := getBatchResults(len(req.ops))
+		src := w.readSource(req)
 		for i, op := range req.ops {
 			switch op.Kind {
 			case BatchPut:
@@ -1199,7 +1202,7 @@ func (w *worker) handle(req request) response {
 				var v uint64
 				var ok bool
 				err := w.withHeal(func() (e error) {
-					v, ok, e = w.st.Get(op.K)
+					v, ok, e = src.Get(op.K)
 					return e
 				})
 				if err != nil {
@@ -1228,12 +1231,14 @@ func (w *worker) handle(req request) response {
 		}
 		return response{batch: res}
 	case opScan:
-		// The worker-path scan chunk: the owner store's repairing reads,
-		// serialized with batches like every worker op.
+		// The worker-path scan chunk: the owner store's repairing reads
+		// (or the verified view, to heal a fast-path fault), serialized
+		// with batches like every worker op.
 		w.scans++
 		var pairs []Pair
+		src := w.readSource(req)
 		err := w.withHeal(func() (e error) {
-			pairs, e = scanCollect(w.st, w.ordered, req.k, req.v, req.max)
+			pairs, e = scanCollect(src, w.ordered, req.k, req.v, req.max)
 			return e
 		})
 		if err != nil {
@@ -1257,11 +1262,13 @@ func (w *worker) handle(req request) response {
 		return response{snap: sn}
 	case opSnapScan:
 		// The worker-path snapshot chunk: pinned-generation resolution over
-		// the owner store's repairing reads. A typed snapshot verdict is
-		// final; read faults get the usual one-heal retry.
+		// the owner store's repairing reads (or the verified view, to heal
+		// a fast-path fault). A typed snapshot verdict is final; read
+		// faults get the usual one-heal retry.
 		var pairs []Pair
+		live := w.readSource(req)
 		err := w.withHeal(func() (e error) {
-			pairs, e = scanCollect(snapScanner{sn: req.snap, live: w.st}, req.snap.Ordered(), req.k, req.v, req.max)
+			pairs, e = scanCollect(snapScanner{sn: req.snap, live: live}, req.snap.Ordered(), req.k, req.v, req.max)
 			return e
 		})
 		if err != nil {

@@ -50,15 +50,21 @@
 // readers share the gate and run in parallel; the worker takes the
 // write side around every pool access, so the group commit — still the
 // shard's linearization point — excludes readers only while it runs.
-// Verification is cached per object against the engine's modification
-// clock (an object is re-verified only after a commit actually wrote
-// it) and capped by size (very large array objects keep header + poison
+// Every fast-path read verifies each object it touches in place, on
+// every read — a read costs the object's checksum plus constant-time
+// header checks, and a scribble fails the very next read. Verification
+// is capped by size (very large array objects keep header + poison
 // checks and rely on scrubbing, as under the default verify policy).
 //
 // Readers never block on the gate. If it is unavailable — a commit,
-// save, crash image, scrub, or recovery window — or the read hits a
-// fault that needs online repair, the GET falls back to the worker
-// queue, whose repairing read path serializes with everything else.
+// save, crash image, scrub, or recovery window — the GET falls back to
+// the worker queue, whose read serializes with everything else. A GET
+// whose verified read failed (checksum mismatch, poison, implausible
+// header) falls back too, but it is healed, never served from the
+// worker's unverified read: the worker re-runs the verified read under
+// its exclusive gate, outside any group commit, and on corruption runs
+// one repair pass and reads again — the repaired value or a typed
+// CORRUPT/POISON status, never the bytes the fast path rejected.
 // An MGET whose slice for a shard is all reads takes the same fast path
 // with one gate hold for the slice. STATS separates the populations:
 // fast_gets/fast_hits count fast-path reads, gets counts worker reads,

@@ -114,6 +114,25 @@ func (m *Map) Len() (uint64, error) {
 // hash is Fibonacci hashing over the key.
 func hash(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 }
 
+// readTable reads the table object through get (a pool's or a
+// transaction's) and returns it with its bucket count. The count is
+// checked against the table's length: the table is larger than the read
+// view's verify limit, so a scribbled count must surface as corruption
+// here rather than index past the bucket array.
+func readTable(get func(pangolin.OID) ([]byte, error), oid pangolin.OID) ([]byte, uint64, error) {
+	table, err := get(oid)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(table) >= tableHeaderSize {
+		n := binary.LittleEndian.Uint64(table[0:])
+		if n > 0 && n <= uint64(len(table)-tableHeaderSize)/bucketSize {
+			return table, n, nil
+		}
+	}
+	return nil, 0, &pangolin.CorruptionError{OID: oid, Reason: "hashmap: bucket count does not fit the table"}
+}
+
 // bucketOID reads bucket i of a table image.
 func bucketOID(table []byte, i uint64) pangolin.OID {
 	off := tableHeaderSize + i*bucketSize
@@ -138,11 +157,10 @@ func (m *Map) Lookup(k uint64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	table, err := m.p.Get(a.Table)
+	table, n, err := readTable(m.p.Get, a.Table)
 	if err != nil {
 		return 0, false, err
 	}
-	n := binary.LittleEndian.Uint64(table[0:])
 	cur := bucketOID(table, hash(k)%n)
 	for !cur.IsNil() {
 		e, err := pangolin.GetFromPool[entry](m.p, cur)
@@ -165,11 +183,10 @@ func (m *Map) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	table, err := tx.Get(a.Table)
+	table, n, err := readTable(tx.Get, a.Table)
 	if err != nil {
 		return 0, false, err
 	}
-	n := binary.LittleEndian.Uint64(table[0:])
 	cur := bucketOID(table, hash(k)%n)
 	for !cur.IsNil() {
 		e, err := pangolin.Get[entry](tx, cur)
@@ -196,11 +213,10 @@ func (m *Map) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 	if err != nil {
 		return err
 	}
-	table, err := tx.Get(a.Table)
+	table, n, err := readTable(tx.Get, a.Table)
 	if err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint64(table[0:])
 	idx := hash(k) % n
 	// Chain scan.
 	cur := bucketOID(table, idx)
@@ -234,19 +250,19 @@ func (m *Map) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 	putBucketOID(wTable, idx, eOID)
 	a.Count++
 	if a.Count > 2*n {
-		return m.grow(tx, a, n*2)
+		return m.grow(tx, a, n, n*2)
 	}
 	return nil
 }
 
-// grow rehashes into a table of newBuckets buckets within the caller's
-// transaction: allocate, relink every entry, free the old table.
-func (m *Map) grow(tx *pangolin.Tx, a *anchor, newBuckets uint64) error {
+// grow rehashes the table's oldN buckets into a table of newBuckets
+// buckets within the caller's transaction: allocate, relink every entry,
+// free the old table.
+func (m *Map) grow(tx *pangolin.Tx, a *anchor, oldN, newBuckets uint64) error {
 	oldTable, err := tx.Get(a.Table)
 	if err != nil {
 		return err
 	}
-	oldN := binary.LittleEndian.Uint64(oldTable[0:])
 	newOID, err := allocTable(tx, newBuckets)
 	if err != nil {
 		return err
@@ -292,11 +308,10 @@ func (m *Map) RemoveTx(tx *pangolin.Tx, k uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	table, err := tx.Get(a.Table)
+	table, n, err := readTable(tx.Get, a.Table)
 	if err != nil {
 		return false, err
 	}
-	n := binary.LittleEndian.Uint64(table[0:])
 	idx := hash(k) % n
 	prev := pangolin.NilOID
 	cur := bucketOID(table, idx)
@@ -349,11 +364,10 @@ func (m *Map) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
 	if err != nil {
 		return err
 	}
-	table, err := m.p.Get(a.Table)
+	table, n, err := readTable(m.p.Get, a.Table)
 	if err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint64(table[0:])
 	for i := uint64(0); i < n; i++ {
 		cur := bucketOID(table, i)
 		for !cur.IsNil() {

@@ -114,3 +114,50 @@ func TestRangeUnordered(t *testing.T) {
 		},
 	}, false)
 }
+
+// TestScribbledBucketCountIsCorruption: the table exceeds the read
+// view's verify limit, so a scribbled bucket count is caught by the
+// count check on every path that reads it — typed corruption, never an
+// out-of-range bucket index.
+func TestScribbledBucketCountIsCorruption(t *testing.T) {
+	p, err := pangolin.Create(pangolin.Config{Mode: pangolin.ModePangolinMLPC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 8; k++ {
+		if err := m.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := pangolin.GetFromPool[anchor](p, m.Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Device().WriteAt(a.Table.Off, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	view, err := Attach(p.ReadView(), m.Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Map{"owner": m, "view": view} {
+		if _, _, err := m.Lookup(3); !pangolin.IsCorruption(err) {
+			t.Errorf("%s Lookup = %v, want a CorruptionError", name, err)
+		}
+		if err := m.Scan(0, 10, func(k, v uint64) bool { return true }); !pangolin.IsCorruption(err) {
+			t.Errorf("%s Scan = %v, want a CorruptionError", name, err)
+		}
+	}
+	for name, fn := range map[string]func(tx *pangolin.Tx) error{
+		"LookupTx": func(tx *pangolin.Tx) error { _, _, err := m.LookupTx(tx, 3); return err },
+		"InsertTx": func(tx *pangolin.Tx) error { return m.InsertTx(tx, 100, 1) },
+		"RemoveTx": func(tx *pangolin.Tx) error { _, err := m.RemoveTx(tx, 3); return err },
+	} {
+		if err := p.Run(fn); !pangolin.IsCorruption(err) {
+			t.Errorf("%s = %v, want a CorruptionError", name, err)
+		}
+	}
+}
